@@ -19,7 +19,7 @@ use crate::ports::{self, PortAllocator, PortError};
 use crate::store::{MappingStore, StoreOccupancy, TcpConnState};
 use crate::telemetry::{BlockEvent, EventSink, MappingEvent, SinkSlot};
 use cgn_metrics::{Snapshot, Value};
-use cgn_trace::{FlowKey as TraceKey, Phase, ShardTracer};
+use cgn_trace::{Phase, ShardTracer};
 use netcore::{Endpoint, Packet, PacketBody, Protocol, SimDuration, SimTime, TcpFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -810,28 +810,18 @@ impl Nat {
         if let Some(reg) = &mut self.metrics.0 {
             reg.on_created();
         }
+        let event = MappingEvent {
+            at: now,
+            proto,
+            internal,
+            external,
+        };
         if let Some(sink) = &mut self.sink.0 {
-            sink.mapping_created(&MappingEvent {
-                at: now,
-                proto,
-                internal,
-                external,
-            });
+            sink.mapping_created(&event);
         }
         if let Some(tr) = &mut self.tracer.0 {
             if tr.sampling_flows() {
-                tr.on_admit(
-                    slot,
-                    TraceKey {
-                        udp: proto == Protocol::Udp,
-                        internal_ip: internal.ip,
-                        internal_port: internal.port,
-                        external_ip: external.ip,
-                        external_port: external.port,
-                    },
-                    now.as_millis(),
-                    block_granted,
-                );
+                tr.on_admit(slot, event.flow_key(), now.as_millis(), block_granted);
             }
         }
         Ok(slot)

@@ -85,6 +85,22 @@ pub struct MappingEvent {
     pub external: Endpoint,
 }
 
+impl MappingEvent {
+    /// The flow identity both 1-in-N samplers hash: the flow tracer's
+    /// admit decision and the sampled log filter build it here, so
+    /// `Sampled { one_in: N }` logging and trace sampling at `N`
+    /// select exactly the same mappings.
+    pub fn flow_key(&self) -> cgn_trace::FlowKey {
+        cgn_trace::FlowKey {
+            udp: self.proto == Protocol::Udp,
+            internal_ip: self.internal.ip,
+            internal_port: self.internal.port,
+            external_ip: self.external.ip,
+            external_port: self.external.port,
+        }
+    }
+}
+
 /// One port-block lifecycle event: a contiguous range of
 /// `[block_start, block_start + block_len)` external ports on
 /// `ext_ip` granted to (or returned by) `subscriber`.

@@ -483,10 +483,8 @@ pub fn run(config: &SoakConfig) -> std::io::Result<SoakReport> {
         };
         let mut rotations = 0u64;
         for sink in session.take_event_sinks().into_iter().flatten() {
-            let sink = sink
-                .into_any()
-                .downcast::<RotatingFileSink>()
-                .expect("soak installs rotating file sinks");
+            let sink =
+                RotatingFileSink::from_sink(sink).expect("soak installs rotating file sinks");
             rotations += sink.rotations();
             for g in sink.finish()? {
                 volume.generations += 1;

@@ -300,14 +300,19 @@ impl EventLog {
 
     /// Remove and return the bytes encoded since the last drain,
     /// keeping the encoder state (interned ids, delta-timestamp base,
-    /// record count) so encoding continues seamlessly. This is the
-    /// primitive behind streaming sinks ([`crate::sink::WriteSink`]):
-    /// the caller hands each drained chunk to an `io::Write` and the
-    /// in-memory log stays bounded by one record. Note a drained
+    /// record count) so encoding continues seamlessly. Note a drained
     /// `EventLog` no longer holds a decodable prefix — only the
     /// concatenation of all drained chunks is.
     pub fn drain_bytes(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.buf)
+    }
+
+    /// [`drain_bytes`](EventLog::drain_bytes) for a caller that has
+    /// already written the bytes out: clears the buffer in place,
+    /// keeping its allocation. The streaming primitive behind
+    /// [`crate::rotate::Generations`].
+    pub(crate) fn clear_bytes(&mut self) {
+        self.buf.clear();
     }
 
     /// Decode the whole log back into time-ordered records (ids
@@ -319,8 +324,8 @@ impl EventLog {
 
 /// Decode a raw encoded byte stream — the standalone form of
 /// [`EventLog::decode`] for logs that were streamed to storage
-/// (e.g. through a [`crate::sink::WriteSink`]) rather than held in
-/// memory.
+/// (e.g. the concatenated generations of a
+/// [`crate::RotatingFileSink`]) rather than held in memory.
 pub fn decode_bytes(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
     let mut out = Vec::new();
     let mut subs: Vec<Ipv4Addr> = Vec::new();

@@ -14,11 +14,16 @@
 //!
 //! This crate is the logging/attribution side of that trade-off:
 //!
-//! * [`sink::BinaryLogSink`] — a [`nat_engine::telemetry::EventSink`]
-//!   that encodes the engine's mapping/block events into per-shard
-//!   append-only binary logs ([`codec::EventLog`]: varint fields,
-//!   delta timestamps, interned subscriber/pool ids — single-digit
-//!   bytes per steady-state record);
+//! * [`sink::LogSink`] — the one [`nat_engine::telemetry::EventSink`]
+//!   that filters the engine's mapping/block events by
+//!   [`TelemetryMode`](nat_engine::telemetry::TelemetryMode)
+//!   (per-connection, 1-in-N sampled, per-block) and encodes them into
+//!   per-shard append-only binary logs ([`codec::EventLog`]: varint
+//!   fields, delta timestamps, interned subscriber/pool ids —
+//!   single-digit bytes per steady-state record). Its backing decides
+//!   where records go: kept in memory ([`BinaryLogSink`]) or written
+//!   into size-capped `io::Write` generations ([`RotatingFileSink`]
+//!   for files, [`rotate::Generations`] in general);
 //! * [`query::TraceIndex`] — the time-interval index that answers
 //!   exact `(ext IP, port, T) → subscriber` probes from a decoded log,
 //!   for both per-connection and per-block records;
@@ -32,17 +37,15 @@
 
 pub mod codec;
 pub mod detmap;
-pub mod mmap;
 pub mod query;
 pub mod rotate;
 pub mod sink;
 
 pub use codec::{decode_bytes, DecodeError, EventLog, Record};
 pub use detmap::DeterministicMap;
-pub use mmap::{MmapWriteSink, MmapWriter, DEFAULT_PREALLOC_BYTES};
 pub use query::{linear_scan, TraceIndex};
 pub use rotate::{
-    FileGenerations, GenerationFactory, GenerationStats, RotatingFileSink, RotatingWriteSink,
+    FileGenerations, GenerationFactory, GenerationStats, Generations, RotatingFileSink,
     MODELED_COMPRESSION_RATIO,
 };
-pub use sink::{BinaryLogSink, BufferedWriteSink, BufferedWriter, SampledSink, WriteSink};
+pub use sink::{BinaryLogSink, LogBacking, LogSink, Memory};

@@ -3,22 +3,23 @@
 //!
 //! The §6.2 log-volume study projects ~75 GiB/day per million
 //! subscribers under per-connection logging — no operator keeps that
-//! in one file. [`RotatingWriteSink`] is the [`crate::WriteSink`]
-//! family member that cuts the stream into bounded **generations**:
-//! when the next record would push the current generation past
-//! `max_generation_bytes`, the sink closes it and asks its factory for
-//! the next writer (`log.0`, `log.1`, … for file-backed factories).
+//! in one file. [`Generations`] is the [`LogSink`] backing that
+//! writes the stream into bounded **generations**: when the next
+//! record would push the current generation past
+//! `max_generation_bytes`, the backing closes it and asks its factory
+//! for the next writer (`log.0`, `log.1`, … for [`FileGenerations`]).
+//! A cap of `u64::MAX` makes a plain single stream: one generation
+//! that never rotates.
 //!
 //! Two properties matter and are pinned by tests:
 //!
-//! * **Byte identity** — one [`codec::EventLog`](crate::codec)
-//!   encoder spans every generation (interned ids and delta
-//!   timestamps are *not* reset at a boundary), so the concatenation
-//!   of all generations is byte-identical to what a single
-//!   [`WriteSink`](crate::WriteSink) would have produced. A
-//!   generation is therefore a byte range of one logical stream, like
-//!   a rotated syslog fragment — decode the concatenation, not a lone
-//!   fragment.
+//! * **Byte identity** — the sink's one [`EventLog`] encoder spans
+//!   every generation (interned ids and delta timestamps are *not*
+//!   reset at a boundary), so the concatenation of all generations is
+//!   byte-identical to the in-memory
+//!   [`BinaryLogSink`](crate::BinaryLogSink) log. A generation is
+//!   therefore a byte range of one logical stream, like a rotated
+//!   syslog fragment — decode the concatenation, not a lone fragment.
 //! * **Record-boundary rotation** — a generation always ends exactly
 //!   between two records, never inside one, so re-assembly needs no
 //!   byte surgery.
@@ -33,8 +34,8 @@
 //! compressed-NetFlow ratios operators plan archives around.
 
 use crate::codec::EventLog;
-use nat_engine::telemetry::{BlockEvent, EventSink, MappingEvent, TelemetryMode};
-use std::any::Any;
+use crate::sink::{LogBacking, LogSink};
+use nat_engine::telemetry::TelemetryMode;
 use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
@@ -64,10 +65,10 @@ impl GenerationStats {
 }
 
 /// Produces the writer of each log generation. Implemented for any
-/// `FnMut(u64) -> io::Result<W>` closure; [`FileGenerations`] is the
-/// nameable file-backed factory (a concrete type matters when a
-/// boxed sink must be recovered from the engine by downcast —
-/// closure types cannot be named).
+/// `FnMut(u64) -> io::Result<W>` closure (test fakes);
+/// [`FileGenerations`] is the nameable file-backed factory (a
+/// concrete type matters when a boxed sink must be recovered from the
+/// engine by downcast — closure types cannot be named).
 pub trait GenerationFactory: Send + Sync {
     type Writer: Write + Send + Sync;
 
@@ -106,10 +107,60 @@ impl GenerationFactory for FileGenerations {
     }
 }
 
+/// The generation-rotating [`LogBacking`]: each record is written to
+/// the current generation's writer and the encoder's buffer is
+/// cleared in place, so memory stays bounded by one record.
+#[derive(Debug)]
+pub struct Generations<F: GenerationFactory> {
+    make: F,
+    /// `None` only when opening a generation failed (the sink is then
+    /// sticky-failed and stores nothing more).
+    out: Option<F::Writer>,
+    max_generation_bytes: u64,
+    current: GenerationStats,
+    closed: Vec<GenerationStats>,
+}
+
+impl<F: GenerationFactory> Generations<F> {
+    fn rotate(&mut self) -> std::io::Result<()> {
+        if let Some(out) = self.out.as_mut() {
+            out.flush()?;
+        }
+        self.closed.push(self.current);
+        self.current = GenerationStats {
+            index: self.current.index + 1,
+            bytes: 0,
+            records: 0,
+        };
+        self.out = Some(self.make.open(self.current.index)?);
+        Ok(())
+    }
+}
+
+impl<F: GenerationFactory> LogBacking for Generations<F> {
+    fn store(&mut self, log: &mut EventLog, start: usize) -> std::io::Result<()> {
+        let chunk = &log.bytes()[start..];
+        let len = chunk.len() as u64;
+        // Rotate between records only: a non-empty generation that
+        // cannot take the whole record is closed first. An oversized
+        // record into an empty generation writes anyway — records are
+        // never split across generations.
+        if self.current.bytes > 0 && self.current.bytes + len > self.max_generation_bytes {
+            self.rotate()?;
+        }
+        let out = self.out.as_mut().expect("writer present unless failed");
+        out.write_all(chunk)?;
+        log.clear_bytes();
+        self.current.bytes += len;
+        self.current.records += 1;
+        Ok(())
+    }
+}
+
 /// The file-backed rotating sink — nameable, so it can be installed
-/// into the engine as a `Box<dyn EventSink>` and recovered by
-/// downcast when the run ends.
-pub type RotatingFileSink = RotatingWriteSink<FileGenerations>;
+/// into the engine as a `Box<dyn EventSink>` and recovered with
+/// [`LogSink::from_sink`] when the run ends.
+pub type RotatingFileSink = LogSink<Generations<FileGenerations>>;
 
 impl RotatingFileSink {
     /// A rotating sink writing generations `<stem>.0`, `<stem>.1`, …
@@ -118,7 +169,7 @@ impl RotatingFileSink {
         max_generation_bytes: u64,
         stem: impl Into<PathBuf>,
     ) -> RotatingFileSink {
-        RotatingWriteSink::new(
+        LogSink::rotating(
             mode,
             max_generation_bytes,
             FileGenerations { stem: stem.into() },
@@ -126,275 +177,118 @@ impl RotatingFileSink {
     }
 }
 
-/// A size-rotating [`EventSink`] over the [`WriteSink`](crate::WriteSink)
-/// family: same event semantics, counters and sticky-error behaviour,
-/// but output is cut into bounded generations produced by a
-/// [`GenerationFactory`]. See the module docs for the identity and
-/// boundary guarantees.
-///
-/// The factory is called with the generation index (`0` eagerly at
-/// construction, then `1, 2, …` at each rotation); a factory error
-/// makes the sink sticky-failed exactly like a write error.
-pub struct RotatingWriteSink<F: GenerationFactory> {
-    mode: TelemetryMode,
-    enc: EventLog,
-    make: F,
-    out: Option<F::Writer>,
-    max_generation_bytes: u64,
-    generation: u64,
-    generation_bytes: u64,
-    generation_records: u64,
-    closed: Vec<GenerationStats>,
-    records_written: u64,
-    bytes_written: u64,
-    records_dropped: u64,
-    io_error: Option<std::io::Error>,
-}
-
-impl<F: GenerationFactory> RotatingWriteSink<F> {
-    /// A rotating sink whose generations hold at most
-    /// `max_generation_bytes` encoded bytes each (a single record
-    /// larger than the cap gets a generation of its own — records are
-    /// never split). Opens generation 0 eagerly so a sink that logs
-    /// nothing still leaves an (empty) artifact behind, like a
-    /// freshly provisioned logger.
-    pub fn new(mode: TelemetryMode, max_generation_bytes: u64, mut make: F) -> Self {
+impl<F: GenerationFactory> LogSink<Generations<F>> {
+    /// A sink whose generations hold at most `max_generation_bytes`
+    /// encoded bytes each (a single record larger than the cap gets a
+    /// generation of its own). The factory is called with the
+    /// generation index: `0` eagerly here, so a sink that logs
+    /// nothing still leaves an (empty) artifact behind, then `1, 2, …`
+    /// at each rotation. A factory error makes the sink sticky-failed
+    /// exactly like a write error.
+    pub fn rotating(mode: TelemetryMode, max_generation_bytes: u64, mut make: F) -> Self {
         assert!(max_generation_bytes > 0, "generation cap must be non-zero");
-        let (out, io_error) = match make.open(0) {
+        let (out, error) = match make.open(0) {
             Ok(w) => (Some(w), None),
             Err(e) => (None, Some(e)),
         };
-        RotatingWriteSink {
+        let mut sink = LogSink::with_backing(
             mode,
-            enc: EventLog::new(),
-            make,
-            out,
-            max_generation_bytes,
-            generation: 0,
-            generation_bytes: 0,
-            generation_records: 0,
-            closed: Vec::new(),
-            records_written: 0,
-            bytes_written: 0,
-            records_dropped: 0,
-            io_error,
+            Generations {
+                make,
+                out,
+                max_generation_bytes,
+                current: GenerationStats {
+                    index: 0,
+                    bytes: 0,
+                    records: 0,
+                },
+                closed: Vec::new(),
+            },
+        );
+        if let Some(e) = error {
+            sink.fail(e);
         }
-    }
-
-    pub fn mode(&self) -> TelemetryMode {
-        self.mode
+        sink
     }
 
     /// Completed rotations so far (`cgn_log_rotations_total`).
     pub fn rotations(&self) -> u64 {
-        self.closed.len() as u64
-    }
-
-    /// Accounting for every closed generation, in rotation order.
-    pub fn closed_generations(&self) -> &[GenerationStats] {
-        &self.closed
-    }
-
-    /// Index of the generation currently being written.
-    pub fn current_generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Bytes written into the current generation so far.
-    pub fn current_generation_bytes(&self) -> u64 {
-        self.generation_bytes
-    }
-
-    /// Records successfully encoded and handed to a writer, across
-    /// all generations.
-    pub fn records_written(&self) -> u64 {
-        self.records_written
-    }
-
-    /// Encoded bytes across all generations.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Records dropped after the sink went sticky-failed.
-    pub fn records_dropped(&self) -> u64 {
-        self.records_dropped
-    }
-
-    /// The first I/O error, if any (write, flush, or factory).
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.io_error.as_ref()
+        self.backing().closed.len() as u64
     }
 
     /// Close the final generation: flush the current writer and return
     /// the stats of **every** generation (the last one included), or
     /// the first error the sink swallowed.
-    pub fn finish(mut self) -> std::io::Result<Vec<GenerationStats>> {
-        if let Some(e) = self.io_error {
+    pub fn finish(self) -> std::io::Result<Vec<GenerationStats>> {
+        let (mut g, error) = self.into_backing();
+        if let Some(e) = error {
             return Err(e);
         }
-        if let Some(out) = self.out.as_mut() {
+        if let Some(out) = g.out.as_mut() {
             out.flush()?;
         }
-        let mut all = self.closed;
-        all.push(GenerationStats {
-            index: self.generation,
-            bytes: self.generation_bytes,
-            records: self.generation_records,
-        });
-        Ok(all)
-    }
-
-    /// Encode one record and write it to the current generation,
-    /// rotating first if it would overflow the cap.
-    fn record(&mut self, encode: impl FnOnce(&mut EventLog)) {
-        if self.io_error.is_some() {
-            self.records_dropped += 1;
-            return;
-        }
-        encode(&mut self.enc);
-        let chunk = self.enc.drain_bytes();
-
-        // Rotate between records only: a non-empty generation that
-        // cannot take the whole chunk is closed first. An oversized
-        // chunk into an empty generation writes anyway — records are
-        // never split across generations.
-        if self.generation_bytes > 0
-            && self.generation_bytes + chunk.len() as u64 > self.max_generation_bytes
-        {
-            if let Err(e) = self.rotate() {
-                self.io_error = Some(e);
-                self.records_dropped += 1;
-                return;
-            }
-        }
-
-        let out = self.out.as_mut().expect("writer present unless failed");
-        match out.write_all(&chunk) {
-            Ok(()) => {
-                self.records_written += 1;
-                self.bytes_written += chunk.len() as u64;
-                self.generation_bytes += chunk.len() as u64;
-                self.generation_records += 1;
-            }
-            Err(e) => {
-                self.io_error = Some(e);
-                self.records_dropped += 1;
-            }
-        }
-    }
-
-    fn rotate(&mut self) -> std::io::Result<()> {
-        if let Some(out) = self.out.as_mut() {
-            out.flush()?;
-        }
-        self.closed.push(GenerationStats {
-            index: self.generation,
-            bytes: self.generation_bytes,
-            records: self.generation_records,
-        });
-        self.generation += 1;
-        self.generation_bytes = 0;
-        self.generation_records = 0;
-        self.out = Some(self.make.open(self.generation)?);
-        Ok(())
-    }
-}
-
-impl<F: GenerationFactory> std::fmt::Debug for RotatingWriteSink<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RotatingWriteSink")
-            .field("mode", &self.mode)
-            .field("generation", &self.generation)
-            .field("rotations", &self.rotations())
-            .field("records_written", &self.records_written)
-            .field("bytes_written", &self.bytes_written)
-            .finish()
-    }
-}
-
-impl<F: GenerationFactory + 'static> EventSink for RotatingWriteSink<F>
-where
-    F::Writer: 'static,
-{
-    fn mapping_created(&mut self, event: &MappingEvent) {
-        if self.mode == TelemetryMode::PerConnection {
-            let e = *event;
-            self.record(|enc| enc.map_create(e.at, e.internal.ip, e.proto, e.external));
-        }
-    }
-
-    fn mapping_expired(&mut self, event: &MappingEvent) {
-        if self.mode == TelemetryMode::PerConnection {
-            let e = *event;
-            self.record(|enc| enc.map_expire(e.at, e.proto, e.external));
-        }
-    }
-
-    fn block_allocated(&mut self, event: &BlockEvent) {
-        if self.mode == TelemetryMode::PerBlock {
-            let e = *event;
-            self.record(|enc| {
-                enc.block_alloc(
-                    e.at,
-                    e.subscriber,
-                    e.proto,
-                    e.ext_ip,
-                    e.block_start,
-                    e.block_len,
-                )
-            });
-        }
-    }
-
-    fn block_released(&mut self, event: &BlockEvent) {
-        if self.mode == TelemetryMode::PerBlock {
-            let e = *event;
-            self.record(|enc| enc.block_release(e.at, e.proto, e.ext_ip, e.block_start));
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn volume(&self) -> Option<(u64, u64)> {
-        Some((self.records_written, self.bytes_written))
+        g.closed.push(g.current);
+        Ok(g.closed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{BinaryLogSink, WriteSink};
+    use crate::sink::BinaryLogSink;
+    use nat_engine::telemetry::{EventSink, MappingEvent};
     use netcore::{ip, Endpoint, Protocol, SimTime};
     use std::sync::{Arc, Mutex};
 
-    /// A shared vec-of-generations factory: generation `i` writes into
-    /// `pages[i]`.
-    fn page_factory(
-        pages: &Arc<Mutex<Vec<Vec<u8>>>>,
-    ) -> impl FnMut(u64) -> std::io::Result<PageWriter> + Send + Sync {
-        let pages = Arc::clone(pages);
-        move |gen| {
-            let mut p = pages.lock().unwrap();
+    type Pages = Arc<Mutex<Vec<Vec<u8>>>>;
+
+    /// A sink over a shared vec-of-generations: generation `i` writes
+    /// into `pages[i]`.
+    fn page_sink(
+        mode: TelemetryMode,
+        cap: u64,
+    ) -> (LogSink<Generations<impl GenerationFactory>>, Pages) {
+        let pages = Pages::default();
+        let shared = Arc::clone(&pages);
+        let make = move |gen| {
+            let mut p = shared.lock().unwrap();
             assert_eq!(gen as usize, p.len(), "generations open in order");
             p.push(Vec::new());
             Ok(PageWriter {
-                pages: Arc::clone(&pages),
+                pages: Arc::clone(&shared),
                 index: gen as usize,
             })
-        }
+        };
+        (LogSink::rotating(mode, cap, make), pages)
     }
 
     struct PageWriter {
-        pages: Arc<Mutex<Vec<Vec<u8>>>>,
+        pages: Pages,
         index: usize,
     }
 
     impl Write for PageWriter {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             self.pages.lock().unwrap()[self.index].extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Errors once more than `limit` bytes have been written.
+    struct FailAfter {
+        taken: usize,
+        limit: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.taken + buf.len() > self.limit {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.taken += buf.len();
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -412,46 +306,44 @@ mod tests {
     }
 
     /// The headline property: the concatenated generations are
-    /// byte-identical to a single-file [`WriteSink`] stream (and to
-    /// the in-memory [`BinaryLogSink`]), every rotation happens on a
-    /// record boundary, and the per-generation accounting sums to the
-    /// whole.
+    /// byte-identical to a single uncapped stream and to the in-memory
+    /// log, every rotation happens on a record boundary, and the
+    /// per-generation accounting sums to the whole.
     #[test]
     fn concatenated_generations_are_byte_identical_to_single_stream() {
-        let pages = Arc::new(Mutex::new(Vec::new()));
-        let mut rotating = RotatingWriteSink::new(
-            TelemetryMode::PerConnection,
-            64, // tiny cap: force many rotations
-            page_factory(&pages),
-        );
-        let mut single = WriteSink::new(TelemetryMode::PerConnection, Vec::<u8>::new());
-        let mut reference = BinaryLogSink::new(TelemetryMode::PerConnection);
-
+        let mode = TelemetryMode::PerConnection;
+        let (mut rotating, pages) = page_sink(mode, 64); // tiny cap: many rotations
+        let (mut single, single_pages) = page_sink(mode, u64::MAX);
+        let mut reference = BinaryLogSink::new(mode);
         for k in 0..200u16 {
             let at = 1_000 + k as u64 * 50;
-            let e = mapping_event(10_000 + k, at);
-            rotating.mapping_created(&e);
-            single.mapping_created(&e);
-            reference.mapping_created(&e);
+            let mut events = vec![mapping_event(10_000 + k, at)];
             if k % 3 == 0 {
-                let x = mapping_event(10_000 + k, at + 17);
-                rotating.mapping_expired(&x);
-                single.mapping_expired(&x);
-                reference.mapping_expired(&x);
+                events.push(mapping_event(10_000 + k, at + 17));
+            }
+            for (i, e) in events.iter().enumerate() {
+                let sinks: [&mut dyn EventSink; 3] = [&mut rotating, &mut single, &mut reference];
+                for s in sinks {
+                    if i == 0 {
+                        s.mapping_created(e);
+                    } else {
+                        s.mapping_expired(e);
+                    }
+                }
             }
         }
 
         assert!(rotating.rotations() > 2, "tiny cap must rotate");
-        assert_eq!(rotating.records_written(), single.records_written());
-        assert_eq!(rotating.bytes_written(), single.bytes_written());
-        let total_records = rotating.records_written();
-        let total_bytes = rotating.bytes_written();
+        assert_eq!(single.rotations(), 0, "an uncapped stream never rotates");
+        let volume = reference.volume();
+        assert_eq!(rotating.volume(), volume);
+        assert_eq!(single.volume(), volume);
+        let (total_records, total_bytes) = volume.expect("measures volume");
 
         let generations = rotating.finish().expect("no I/O errors");
-        let single_bytes = single.finish().expect("no I/O errors");
+        single.finish().expect("no I/O errors");
         let pages = pages.lock().unwrap();
         assert_eq!(pages.len(), generations.len());
-
         let mut concat = Vec::new();
         for (page, stats) in pages.iter().zip(&generations) {
             assert_eq!(page.len() as u64, stats.bytes);
@@ -464,13 +356,13 @@ mod tests {
                 "modeled archive never exceeds the raw bytes"
             );
             concat.extend_from_slice(page);
+            // Record-boundary rotation: the stream cut at every
+            // generation boundary is a valid stream prefix.
+            crate::codec::decode_bytes(&concat)
+                .expect("every generation boundary is a record boundary");
         }
-        assert_eq!(concat, single_bytes, "concatenation == single stream");
-        assert_eq!(
-            concat,
-            reference.log().bytes().to_vec(),
-            "…and == the in-memory log"
-        );
+        assert_eq!(concat, single_pages.lock().unwrap()[0], "== single stream");
+        assert_eq!(concat, reference.log().bytes(), "…and == the in-memory log");
         assert_eq!(
             generations.iter().map(|g| g.records).sum::<u64>(),
             total_records,
@@ -481,25 +373,68 @@ mod tests {
             total_bytes,
             "per-generation bytes sum to the whole"
         );
+    }
 
-        // Record-boundary rotation: every generation prefix decodes —
-        // the concatenated stream cut at each boundary is a valid
-        // stream prefix.
-        let mut prefix = Vec::new();
-        for page in pages.iter() {
-            prefix.extend_from_slice(page);
-            crate::codec::decode_bytes(&prefix)
-                .expect("every generation boundary is a record boundary");
+    /// The same identity behind a live engine, for every logging
+    /// policy: a memory sink and a small-cap rotating sink installed
+    /// into identical `Nat` runs log the same, non-empty bytes.
+    #[test]
+    fn generations_match_memory_behind_a_nat() {
+        use nat_engine::{Nat, NatConfig, PortAllocation};
+        use netcore::Packet;
+
+        let run = |mode: TelemetryMode, sink: Box<dyn EventSink>| -> Box<dyn EventSink> {
+            let mut config = NatConfig::cgn_default();
+            if mode == TelemetryMode::PerBlock {
+                config.port_alloc = PortAllocation::PortBlock { block_size: 64 };
+            }
+            let mut nat = Nat::new(config, vec![ip(198, 51, 100, 1)], 7);
+            nat.set_sink(sink);
+            for k in 0..200u16 {
+                let src = Endpoint::new(ip(100, 64, 0, (k % 8) as u8 + 1), 40_000 + k);
+                let dst = Endpoint::new(ip(203, 0, 113, 10), 8000);
+                let _ = nat
+                    .process_outbound(Packet::udp(src, dst, vec![]), SimTime::from_secs(k as u64));
+            }
+            nat.sweep(SimTime::from_secs(1_000));
+            nat.take_sink().expect("installed")
+        };
+        for mode in [
+            TelemetryMode::PerConnection,
+            TelemetryMode::PerBlock,
+            TelemetryMode::Sampled { one_in: 4 },
+        ] {
+            let mem = BinaryLogSink::from_sink(run(mode, Box::new(BinaryLogSink::new(mode))))
+                .expect("type")
+                .into_log();
+            let (rotating, pages) = page_sink(mode, 32);
+            let rotating = run(mode, Box::new(rotating));
+            assert!(!mem.is_empty(), "{mode:?}: the run must log something");
+            assert_eq!(rotating.volume(), Some((mem.records(), mem.len_bytes())));
+            let pages = pages.lock().unwrap();
+            assert!(pages.len() > 1, "{mode:?}: the small cap must rotate");
+            let concat = pages.concat();
+            assert_eq!(concat, mem.bytes(), "{mode:?}: generations == memory");
+            assert_eq!(
+                crate::codec::decode_bytes(&concat).expect("decodes"),
+                mem.decode().expect("decodes")
+            );
         }
     }
 
-    /// A factory error behaves exactly like a write error: the sink
-    /// goes sticky-failed, later records are dropped and counted, and
+    /// Write and factory errors behave alike: the sink goes
+    /// sticky-failed, later records are dropped and counted, and
     /// `finish` surfaces the error.
     #[test]
-    fn factory_failure_is_sticky() {
+    fn write_and_factory_failures_are_sticky() {
+        let write_fails = LogSink::rotating(TelemetryMode::PerConnection, u64::MAX, |_| {
+            Ok(FailAfter {
+                taken: 0,
+                limit: 24,
+            })
+        });
         let mut calls = 0u64;
-        let mut sink = RotatingWriteSink::new(TelemetryMode::PerConnection, 16, move |_gen| {
+        let open_fails = LogSink::rotating(TelemetryMode::PerConnection, 16, move |_| {
             calls += 1;
             if calls > 1 {
                 Err(std::io::Error::other("disk full"))
@@ -507,11 +442,30 @@ mod tests {
                 Ok(Vec::<u8>::new())
             }
         });
-        for k in 0..50u16 {
-            sink.mapping_created(&mapping_event(20_000 + k, 5_000 + k as u64 * 29));
+        let mut first_open_fails = LogSink::rotating(TelemetryMode::PerConnection, 16, |_| {
+            std::io::Result::<Vec<u8>>::Err(std::io::Error::other("no such directory"))
+        });
+        assert!(first_open_fails.io_error().is_some(), "generation 0 failed");
+        first_open_fails.mapping_created(&mapping_event(1024, 1));
+        assert_eq!(first_open_fails.records_dropped(), 1);
+        assert_eq!(first_open_fails.volume(), Some((0, 0)));
+        assert!(first_open_fails.finish().is_err());
+
+        fn drive<F: GenerationFactory + 'static>(mut sink: LogSink<Generations<F>>) {
+            let mut port = 20_000u16;
+            while sink.io_error().is_none() && port < 21_000 {
+                sink.mapping_created(&mapping_event(port, 5_000 + port as u64));
+                port += 1;
+            }
+            assert!(sink.io_error().is_some(), "the limit must trip");
+            let written = sink.volume();
+            let dropped = sink.records_dropped();
+            sink.mapping_created(&mapping_event(port, 5_000 + port as u64));
+            assert_eq!(sink.volume(), written, "sticky-failed");
+            assert_eq!(sink.records_dropped(), dropped + 1);
+            assert!(sink.finish().is_err(), "finish surfaces the error");
         }
-        assert!(sink.io_error().is_some(), "second generation failed");
-        assert!(sink.records_dropped() > 0);
-        assert!(sink.finish().is_err());
+        drive(write_fails);
+        drive(open_fails);
     }
 }

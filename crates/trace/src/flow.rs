@@ -3,7 +3,7 @@
 //! Tracing every flow at CGN scale is the log-volume problem §6.2
 //! already quantified; the useful middle ground is NetFlow-style
 //! deterministic sampling: pick one flow in N by hashing the flow key
-//! (the same mix64 discipline as `cgn_telemetry::SampledSink`), and
+//! (the same decision `TelemetryMode::Sampled` event logging makes), and
 //! record *everything* that happens to the sampled flows. Because the
 //! decision is a pure function of the key, the sampled set — and the
 //! recorded per-shard event streams, which are sim-time-stamped — are
@@ -70,10 +70,11 @@ impl Default for TraceConfig {
 }
 
 /// The identity of a translated flow: what the sampling hash covers.
-/// Mirrors the fields of `nat_engine`'s `MappingEvent` (internal and
-/// external endpoint plus protocol), packed the same way
-/// `SampledSink::keep` packs them, so a trace sampler at `one_in = N`
-/// selects exactly the flows a `SampledSink{one_in: N}` would log.
+/// Built from a `nat_engine` `MappingEvent` (internal and external
+/// endpoint plus protocol) by `MappingEvent::flow_key`, the one place
+/// both the tracer's admit site and the sampled log filter get it, so
+/// a trace sampler at `one_in = N` selects exactly the flows
+/// `TelemetryMode::Sampled { one_in: N }` logging keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FlowKey {
     pub udp: bool,

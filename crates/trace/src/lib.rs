@@ -16,9 +16,9 @@
 //!   windowed snapshots a run digest covers.
 //!
 //! * [`flow`] — **sampled flow-lifecycle traces**: a deterministic
-//!   one-in-N flow-key sampler (the same mix64 discipline as
-//!   `cgn_telemetry::SampledSink`, so the sampled set is identical
-//!   for any thread count) feeding a per-shard bounded-ring **flight
+//!   one-in-N flow-key sampler (the same decision as
+//!   `TelemetryMode::Sampled` event logging, so the sampled set is
+//!   identical for any thread count) feeding a per-shard bounded-ring **flight
 //!   recorder** of sim-time-stamped span events
 //!   (admit → block alloc → each translate → refresh → expire).
 //!

@@ -27,7 +27,7 @@ use analysis::port_demand::{
     self, max_over_mean, DemandSeries, PortDemandReport, ShardDemand, ShardLoad,
 };
 use cgn_metrics::{Snapshot, Value, Window, WindowSeries};
-use cgn_telemetry::{BinaryLogSink, EventLog, SampledSink};
+use cgn_telemetry::{BinaryLogSink, EventLog};
 use cgn_trace::{Phase, PhaseProfiler, ShardTracer, TraceConfig, TraceDump};
 use nat_engine::sharded::{mix64, scatter};
 use nat_engine::telemetry::{EventSink, TelemetryMode};
@@ -66,10 +66,10 @@ pub struct DriverConfig {
     /// at scale).
     pub sweep_secs: u64,
     /// Traceability logging: `Off` installs no sink (the zero-cost
-    /// default); `PerConnection`/`PerBlock` install one
-    /// [`BinaryLogSink`] per shard and surface the volume in
-    /// [`RunSummary::telemetry`] (raw logs via [`run_with_logs`]);
-    /// `Sampled` installs a [`SampledSink`] (1-in-N by flow-key hash).
+    /// default); every other mode installs one [`BinaryLogSink`] per
+    /// shard (`Sampled` keeps 1-in-N mappings by flow-key hash) and
+    /// surfaces the volume in [`RunSummary::telemetry`] (raw logs via
+    /// [`run_with_logs`]).
     pub telemetry: TelemetryMode,
     /// Runtime-metrics aggregation window in sim-seconds. `None` (the
     /// zero-cost default) installs no [`EngineMetrics`] registries and
@@ -1001,12 +1001,7 @@ impl DriverSession {
         if config.telemetry != TelemetryMode::Off {
             sharded.set_sinks(
                 (0..config.shards)
-                    .map(|_| match config.telemetry {
-                        TelemetryMode::Sampled { one_in } => {
-                            Box::new(SampledSink::new(one_in)) as _
-                        }
-                        mode => Box::new(BinaryLogSink::new(mode)) as _,
-                    })
+                    .map(|_| Box::new(BinaryLogSink::new(config.telemetry)) as _)
                     .collect(),
             );
         }
@@ -1349,13 +1344,9 @@ impl DriverSession {
                 .take_sinks()
                 .into_iter()
                 .map(|sink| {
-                    sink.and_then(|s| match config.telemetry {
-                        TelemetryMode::Sampled { .. } => {
-                            SampledSink::from_sink(s).map(SampledSink::into_log)
-                        }
-                        _ => BinaryLogSink::from_sink(s).map(BinaryLogSink::into_log),
-                    })
-                    .unwrap_or_default()
+                    sink.and_then(BinaryLogSink::from_sink)
+                        .map(BinaryLogSink::into_log)
+                        .unwrap_or_default()
                 })
                 .collect()
         } else {
@@ -1870,6 +1861,57 @@ mod tests {
         let off_run = run(&off);
         assert_eq!(off_run.stats, s.stats);
         assert_eq!(off_run.series, s.series);
+    }
+
+    /// Sampled logging and flow tracing make one sampling decision:
+    /// with `Sampled { one_in: N }` logging and trace sampling at `N`,
+    /// the logged mappings are exactly the traced admits.
+    #[test]
+    fn sampled_log_matches_traced_admits() {
+        let one_in = 8;
+        let mut cfg = small(WorkloadMix::residential_evening(), 11);
+        cfg.shards = 2;
+        cfg.telemetry = nat_engine::telemetry::TelemetryMode::Sampled { one_in };
+        cfg.trace = TraceConfig {
+            ring_capacity: 1 << 22,
+            ..TraceConfig::sampled(one_in)
+        };
+        let mut session = DriverSession::new(&cfg);
+        while session.step().is_some() {}
+        let dump = session.trace_dump().expect("tracer installed");
+        assert_eq!(dump.evicted, 0, "the ring must hold every admit");
+        let mut traced: Vec<_> = dump
+            .events
+            .iter()
+            .filter(|e| e.kind == cgn_trace::SpanKind::Admit)
+            .map(|e| {
+                let k = e.key;
+                (k.internal_ip, k.udp, k.external_ip, k.external_port)
+            })
+            .collect();
+        let (_, logs) = session.finish();
+        let mut logged: Vec<_> = logs
+            .iter()
+            .flat_map(|log| log.decode().expect("decodes"))
+            .filter_map(|r| match r {
+                cgn_telemetry::Record::MapCreate {
+                    subscriber,
+                    proto,
+                    external,
+                    ..
+                } => Some((
+                    subscriber,
+                    proto == netcore::Protocol::Udp,
+                    external.ip,
+                    external.port,
+                )),
+                _ => None,
+            })
+            .collect();
+        traced.sort_unstable();
+        logged.sort_unstable();
+        assert!(!logged.is_empty(), "1-in-{one_in} must log something");
+        assert_eq!(logged, traced);
     }
 
     /// The satellite determinism property: traceability logs are part
