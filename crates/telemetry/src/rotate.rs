@@ -233,18 +233,18 @@ impl<F: GenerationFactory> LogSink<Generations<F>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sink::BinaryLogSink;
     use nat_engine::telemetry::{EventSink, MappingEvent};
     use netcore::{ip, Endpoint, Protocol, SimTime};
     use std::sync::{Arc, Mutex};
 
-    type Pages = Arc<Mutex<Vec<Vec<u8>>>>;
+    pub(crate) type Pages = Arc<Mutex<Vec<Vec<u8>>>>;
 
     /// A sink over a shared vec-of-generations: generation `i` writes
     /// into `pages[i]`.
-    fn page_sink(
+    pub(crate) fn page_sink(
         mode: TelemetryMode,
         cap: u64,
     ) -> (LogSink<Generations<impl GenerationFactory>>, Pages) {
@@ -278,9 +278,9 @@ mod tests {
     }
 
     /// Errors once more than `limit` bytes have been written.
-    struct FailAfter {
-        taken: usize,
-        limit: usize,
+    pub(crate) struct FailAfter {
+        pub(crate) taken: usize,
+        pub(crate) limit: usize,
     }
 
     impl Write for FailAfter {
@@ -422,17 +422,33 @@ mod tests {
         }
     }
 
-    /// Write and factory errors behave alike: the sink goes
-    /// sticky-failed, later records are dropped and counted, and
-    /// `finish` surfaces the error.
+    /// Log into `sink` until it goes sticky-failed, then check the
+    /// failure is sticky: later records are dropped and counted, the
+    /// volume stops moving, and `finish` surfaces the error.
+    pub(crate) fn drive_to_sticky_failure<F: GenerationFactory + 'static>(
+        mut sink: LogSink<Generations<F>>,
+    ) {
+        let mut port = 20_000u16;
+        while sink.io_error().is_none() && port < 21_000 {
+            sink.mapping_created(&mapping_event(port, 5_000 + port as u64));
+            port += 1;
+        }
+        assert!(sink.io_error().is_some(), "the limit must trip");
+        let written = sink.volume();
+        let dropped = sink.records_dropped();
+        assert!(dropped >= 1, "the failing record is dropped");
+        sink.mapping_created(&mapping_event(port, 5_000 + port as u64));
+        assert_eq!(sink.volume(), written, "sticky-failed");
+        assert_eq!(sink.records_dropped(), dropped + 1);
+        assert!(sink.finish().is_err(), "finish surfaces the error");
+    }
+
+    /// A factory error behaves exactly like a write error (see
+    /// `sink::tests::write_sink_goes_sticky_on_io_error`): the sink
+    /// goes sticky-failed, whether generation 0 or a later generation
+    /// fails to open.
     #[test]
-    fn write_and_factory_failures_are_sticky() {
-        let write_fails = LogSink::rotating(TelemetryMode::PerConnection, u64::MAX, |_| {
-            Ok(FailAfter {
-                taken: 0,
-                limit: 24,
-            })
-        });
+    fn factory_failure_is_sticky() {
         let mut calls = 0u64;
         let open_fails = LogSink::rotating(TelemetryMode::PerConnection, 16, move |_| {
             calls += 1;
@@ -442,6 +458,8 @@ mod tests {
                 Ok(Vec::<u8>::new())
             }
         });
+        drive_to_sticky_failure(open_fails);
+
         let mut first_open_fails = LogSink::rotating(TelemetryMode::PerConnection, 16, |_| {
             std::io::Result::<Vec<u8>>::Err(std::io::Error::other("no such directory"))
         });
@@ -450,22 +468,5 @@ mod tests {
         assert_eq!(first_open_fails.records_dropped(), 1);
         assert_eq!(first_open_fails.volume(), Some((0, 0)));
         assert!(first_open_fails.finish().is_err());
-
-        fn drive<F: GenerationFactory + 'static>(mut sink: LogSink<Generations<F>>) {
-            let mut port = 20_000u16;
-            while sink.io_error().is_none() && port < 21_000 {
-                sink.mapping_created(&mapping_event(port, 5_000 + port as u64));
-                port += 1;
-            }
-            assert!(sink.io_error().is_some(), "the limit must trip");
-            let written = sink.volume();
-            let dropped = sink.records_dropped();
-            sink.mapping_created(&mapping_event(port, 5_000 + port as u64));
-            assert_eq!(sink.volume(), written, "sticky-failed");
-            assert_eq!(sink.records_dropped(), dropped + 1);
-            assert!(sink.finish().is_err(), "finish surfaces the error");
-        }
-        drive(write_fails);
-        drive(open_fails);
     }
 }

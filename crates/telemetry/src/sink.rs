@@ -234,6 +234,7 @@ impl<B: LogBacking + 'static> EventSink for LogSink<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rotate::tests::{drive_to_sticky_failure, page_sink, FailAfter};
     use nat_engine::telemetry::CountingSink;
     use netcore::{ip, Endpoint, Protocol, SimTime};
 
@@ -279,6 +280,101 @@ mod tests {
         assert!(logged(TelemetryMode::Off).is_empty());
     }
 
+    /// A plain stream (one uncapped generation) carries exactly the
+    /// bytes of the in-memory log for the same event sequence, and
+    /// decodes to the same records.
+    #[test]
+    fn write_sink_stream_matches_event_log() {
+        let mut mem = BinaryLogSink::new(TelemetryMode::PerConnection);
+        let (mut streamed, pages) = page_sink(TelemetryMode::PerConnection, u64::MAX);
+        for (k, port) in [1024u16, 2048, 4096, 1024].into_iter().enumerate() {
+            let mut e = mapping_event(port);
+            e.at = SimTime::from_secs(2 * k as u64 + 1);
+            mem.mapping_created(&e);
+            streamed.mapping_created(&e);
+            e.at = SimTime::from_secs(2 * k as u64 + 2);
+            mem.mapping_expired(&e);
+            streamed.mapping_expired(&e);
+        }
+        assert_eq!(streamed.volume(), Some((8, mem.log().len_bytes())));
+        assert_eq!(streamed.records_dropped(), 0);
+        let generations = streamed.finish().expect("no I/O error");
+        assert_eq!(generations.len(), 1, "an uncapped stream never rotates");
+        let pages = pages.lock().unwrap();
+        assert_eq!(pages[0], mem.log().bytes(), "streams byte-identical");
+        let records = crate::codec::decode_bytes(&pages[0]).expect("stream decodes");
+        assert_eq!(records, mem.log().decode().expect("log decodes"));
+    }
+
+    /// The mode filter is shared by every backing: for each mode a
+    /// stream keeps exactly what the in-memory sink keeps.
+    #[test]
+    fn write_sink_mode_filters_like_binary_sink() {
+        let (mut per_block, _) = page_sink(TelemetryMode::PerBlock, u64::MAX);
+        per_block.mapping_created(&mapping_event(1024));
+        assert_eq!(per_block.volume(), Some((0, 0)), "mapping filtered");
+        per_block.block_allocated(&block_event());
+        assert_eq!(per_block.volume().expect("measures volume").0, 1);
+
+        for mode in [
+            TelemetryMode::PerConnection,
+            TelemetryMode::PerBlock,
+            TelemetryMode::Sampled { one_in: 4 },
+            TelemetryMode::Off,
+        ] {
+            let mut mem = BinaryLogSink::new(mode);
+            let (mut streamed, pages) = page_sink(mode, u64::MAX);
+            for port in 1024u16..1088 {
+                let sinks: [&mut dyn EventSink; 2] = [&mut mem, &mut streamed];
+                for s in sinks {
+                    s.mapping_created(&mapping_event(port));
+                    s.block_allocated(&block_event());
+                    s.mapping_expired(&mapping_event(port));
+                    s.block_released(&block_event());
+                }
+            }
+            assert_eq!(streamed.volume(), mem.volume(), "{mode:?}");
+            streamed.finish().expect("no I/O error");
+            assert_eq!(pages.lock().unwrap()[0], mem.log().bytes(), "{mode:?}");
+        }
+    }
+
+    /// A write error makes the sink sticky-failed: later records are
+    /// dropped and counted, and `finish` surfaces the error.
+    #[test]
+    fn write_sink_goes_sticky_on_io_error() {
+        drive_to_sticky_failure(LogSink::rotating(
+            TelemetryMode::PerConnection,
+            u64::MAX,
+            |_| {
+                Ok(FailAfter {
+                    taken: 0,
+                    limit: 24,
+                })
+            },
+        ));
+    }
+
+    /// Behind a buffered writer the error surfaces only when the
+    /// buffer drains into the failing writer; the sink goes
+    /// sticky-failed there all the same.
+    #[test]
+    fn buffered_sink_goes_sticky_on_drain_error() {
+        drive_to_sticky_failure(LogSink::rotating(
+            TelemetryMode::PerConnection,
+            u64::MAX,
+            |_| {
+                Ok(std::io::BufWriter::with_capacity(
+                    64,
+                    FailAfter {
+                        taken: 0,
+                        limit: 70,
+                    },
+                ))
+            },
+        ));
+    }
+
     /// Every sampled create has its matching expire: the decision is a
     /// pure function of the flow key, so a mapping is either fully
     /// logged or fully absent — never a dangling half.
@@ -298,6 +394,24 @@ mod tests {
             creates * 2,
             "exactly the sampled flows expire into the log"
         );
+    }
+
+    /// A sampled sink's `volume()` tracks its log through the engine's
+    /// trait object, and `from_sink` recovers it with its ratio.
+    #[test]
+    fn sampled_sink_volume_tracks_inner_log_and_recovers() {
+        let mut sink: Box<dyn EventSink> =
+            Box::new(BinaryLogSink::new(TelemetryMode::Sampled { one_in: 4 }));
+        for port in 1024u16..1424 {
+            sink.mapping_created(&mapping_event(port));
+            sink.mapping_expired(&mapping_event(port));
+        }
+        let (records, bytes) = sink.volume().expect("measures volume");
+        assert!(records > 0 && records < 800, "1-in-4 must decimate");
+        let back = BinaryLogSink::from_sink(sink).expect("downcast");
+        assert_eq!(back.mode(), TelemetryMode::Sampled { one_in: 4 });
+        assert_eq!(bytes, back.log().len_bytes());
+        assert_eq!(back.into_log().records(), records);
     }
 
     /// `volume()` reports the encoded `(records, bytes)` through the
