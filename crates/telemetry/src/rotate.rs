@@ -113,8 +113,9 @@ impl GenerationFactory for FileGenerations {
 #[derive(Debug)]
 pub struct Generations<F: GenerationFactory> {
     make: F,
-    /// `None` only when opening a generation failed (the sink is then
-    /// sticky-failed and stores nothing more).
+    /// `None` only when generation 0 failed to open. When a later open
+    /// fails, this keeps the previous, flushed writer. Either way the
+    /// sink is then sticky-failed and stores nothing more.
     out: Option<F::Writer>,
     max_generation_bytes: u64,
     current: GenerationStats,
